@@ -3,10 +3,13 @@
 # (https://just.systems); every recipe body is plain bash, so each
 # command also works copy-pasted into a shell.
 
-# Build + test, the tier-1 gate.
+# Build + test, the tier-1 gate; then twice more with oversubscribed
+# test threads, so tests that race each other fail here (as in CI).
 test:
     cargo build --release
     cargo test -q
+    cargo test -q -- --test-threads=8
+    cargo test -q -- --test-threads=8
 
 # Clippy + rustfmt + rustdoc, exactly as the lint job runs them.
 lint:

@@ -14,33 +14,28 @@ use vfps_bench::experiments::{
     ablation_topk, bench_selection, breakdown, calibrate, fig4, fig5, fig6, fig7, fig8, fig9,
     table1, tables_4_and_5, ExpConfig,
 };
+use vfps_serve::Flags;
+
+/// One experiment: renders its table or figure for a configuration.
+type Experiment = fn(&ExpConfig) -> String;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let sub = args.first().map_or("", String::as_str);
+    let mut flags = Flags::new(args.get(1..).unwrap_or_default());
 
     // `bench-check` is the CI regression gate, not an experiment: it diffs
     // a fresh BENCH_selection.json against the committed baseline and
     // exits non-zero on regression.
-    if args.first().map(String::as_str) == Some("bench-check") {
+    if sub == "bench-check" {
         let mut current = "BENCH_selection.json".to_owned();
         let mut baseline = "results/bench_baseline.json".to_owned();
         let mut tolerance = vfps_bench::check::DEFAULT_TOLERANCE;
-        let mut it = args.iter().skip(1);
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--current" => {
-                    current = it.next().cloned().unwrap_or_else(|| usage("--current needs a path"));
-                }
-                "--baseline" => {
-                    baseline =
-                        it.next().cloned().unwrap_or_else(|| usage("--baseline needs a path"));
-                }
-                "--tolerance" => {
-                    tolerance = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--tolerance needs a number"));
-                }
+        while let Some(arg) = flags.next() {
+            match arg {
+                "--current" => current = or_usage(flags.value(arg)),
+                "--baseline" => baseline = or_usage(flags.value(arg)),
+                "--tolerance" => tolerance = or_usage(flags.parse(arg)),
                 other => usage(&format!("unexpected argument {other}")),
             }
         }
@@ -50,22 +45,13 @@ fn main() {
     // `bench-serve` drives the selection service under concurrent load; it
     // has its own flags (`--clients`, `--addr`) so it is dispatched before
     // the generic experiment ids.
-    if args.first().map(String::as_str) == Some("bench-serve") {
+    if sub == "bench-serve" {
         let mut cfg = vfps_bench::serve::ServeBenchConfig::default();
-        let mut it = args.iter().skip(1);
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
+        while let Some(arg) = flags.next() {
+            match arg {
                 "--quick" => cfg.quick = true,
-                "--clients" => {
-                    cfg.clients = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--clients needs a number"));
-                }
-                "--addr" => {
-                    cfg.addr =
-                        Some(it.next().cloned().unwrap_or_else(|| usage("--addr needs a value")));
-                }
+                "--clients" => cfg.clients = or_usage(flags.parse(arg)),
+                "--addr" => cfg.addr = Some(or_usage(flags.value(arg))),
                 "--router" => cfg.router = true,
                 other => usage(&format!("unexpected argument {other}")),
             }
@@ -80,15 +66,14 @@ fn main() {
 
     // `bench-cluster` runs the fed-KNN session over real sockets vs the
     // simulated cluster and times both, plus a mid-batch kill run.
-    if args.first().map(String::as_str) == Some("bench-cluster") {
+    if sub == "bench-cluster" {
         let mut cfg = vfps_bench::cluster::ClusterBenchConfig::default();
-        let mut it = args.iter().skip(1);
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
+        while let Some(arg) = flags.next() {
+            match arg {
                 "--quick" => cfg.quick = true,
                 "--addrs" => {
-                    let list = it.next().cloned().unwrap_or_else(|| usage("--addrs needs a value"));
-                    cfg.addrs = Some(list.split(',').map(str::to_owned).collect());
+                    cfg.addrs =
+                        Some(or_usage(flags.value(arg)).split(',').map(str::to_owned).collect());
                 }
                 other => usage(&format!("unexpected argument {other}")),
             }
@@ -99,96 +84,58 @@ fn main() {
 
     let mut id: Option<String> = None;
     let mut cfg = ExpConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    let mut flags = Flags::new(&args);
+    while let Some(arg) = flags.next() {
+        match arg {
             "--quick" => cfg.quick = true,
             "--cached" => cfg.cached = true,
-            "--runs" => {
-                cfg.runs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--runs needs a number"));
-            }
+            "--runs" => cfg.runs = or_usage(flags.parse(arg)),
             other if id.is_none() => id = Some(other.to_owned()),
             other => usage(&format!("unexpected argument {other}")),
         }
     }
     let id = id.unwrap_or_else(|| usage("missing experiment id"));
 
-    let run = |name: &str| -> bool { id == name || id == "all" };
+    // In `all` order. `tables45` also answers to `table4` and `table5`.
+    let experiments: [(&str, Experiment); 16] = [
+        ("table1", table1),
+        ("tables45", tables_4_and_5),
+        ("fig4", fig4),
+        ("fig5", fig5),
+        ("fig6", fig6),
+        ("fig7", fig7),
+        ("fig8", fig8),
+        ("fig9", fig9),
+        ("ablation-batch", ablation_batch),
+        ("ablation-scheme", ablation_scheme),
+        ("ablation-dp", ablation_dp),
+        ("breakdown", breakdown),
+        ("ablation-maximizer", ablation_maximizer),
+        ("ablation-noise", ablation_noise),
+        ("ablation-topk", ablation_topk),
+        ("bench-selection", bench_selection),
+    ];
     let mut ran = false;
-    if run("table1") {
-        println!("{}", table1(&cfg));
-        ran = true;
+    for (name, experiment) in experiments {
+        let alias = name == "tables45" && (id == "table4" || id == "table5");
+        if id == name || id == "all" || alias {
+            println!("{}", experiment(&cfg));
+            ran = true;
+        }
     }
-    if run("tables45") || id == "table4" || id == "table5" {
-        println!("{}", tables_4_and_5(&cfg));
-        ran = true;
-    }
-    if run("fig4") {
-        println!("{}", fig4(&cfg));
-        ran = true;
-    }
-    if run("fig5") {
-        println!("{}", fig5(&cfg));
-        ran = true;
-    }
-    if run("fig6") {
-        println!("{}", fig6(&cfg));
-        ran = true;
-    }
-    if run("fig7") {
-        println!("{}", fig7(&cfg));
-        ran = true;
-    }
-    if run("fig8") {
-        println!("{}", fig8(&cfg));
-        ran = true;
-    }
-    if run("fig9") {
-        println!("{}", fig9(&cfg));
-        ran = true;
-    }
-    if run("ablation-batch") {
-        println!("{}", ablation_batch(&cfg));
-        ran = true;
-    }
-    if run("ablation-scheme") {
-        println!("{}", ablation_scheme(&cfg));
-        ran = true;
-    }
-    if run("ablation-dp") {
-        println!("{}", ablation_dp(&cfg));
-        ran = true;
-    }
-    if run("breakdown") {
-        println!("{}", breakdown(&cfg));
-        ran = true;
-    }
-    if run("ablation-maximizer") {
-        println!("{}", ablation_maximizer(&cfg));
-        ran = true;
-    }
-    if run("ablation-noise") {
-        println!("{}", ablation_noise(&cfg));
-        ran = true;
-    }
-    if run("ablation-topk") {
-        println!("{}", ablation_topk(&cfg));
-        ran = true;
-    }
-    if run("bench-selection") {
-        println!("{}", bench_selection(&cfg));
-        ran = true;
-    }
-    if run("calibrate") {
+    if id == "calibrate" || id == "all" {
         println!("{}", calibrate());
         ran = true;
     }
     if !ran {
         usage(&format!("unknown experiment id {id}"));
     }
+}
+
+/// A flag's value, or the usage text (with the error naming the flag) and
+/// exit code 2.
+fn or_usage<T>(value: Result<T, String>) -> T {
+    value.unwrap_or_else(|e| usage(&e))
 }
 
 fn usage(msg: &str) -> ! {

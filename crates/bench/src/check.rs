@@ -22,7 +22,7 @@
 //! gate itself); extra keys in the current artifact are allowed so new
 //! metrics can land before the baseline is regenerated.
 
-use crate::json::Value;
+use vfps_obs::json::Value;
 
 /// Default regression bound for wall-clock leaves: shared CI runners are
 /// slow and noisy, so only order-of-magnitude blowups fail.
@@ -121,7 +121,7 @@ fn walk(
 pub fn run_bench_check(current_path: &str, baseline_path: &str, tolerance: f64) -> i32 {
     let load = |path: &str| -> Result<Value, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        crate::json::parse(&text).map_err(|e| format!("{path}: {e}"))
+        vfps_obs::json::parse(&text).map_err(|e| format!("{path}: {e}"))
     };
     let baseline = match load(baseline_path) {
         Ok(v) => v,
@@ -156,7 +156,7 @@ pub fn run_bench_check(current_path: &str, baseline_path: &str, tolerance: f64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use vfps_obs::json::parse;
 
     const BASE: &str = r#"{
       "benchmark": "selection thread scaling",

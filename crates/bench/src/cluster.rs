@@ -36,8 +36,8 @@ use vfps_net::FaultPlan;
 use vfps_vfl::fed_knn::{FedKnnConfig, KnnMode};
 use vfps_vfl::{run_threaded_knn_faulted, FaultedRun, KnnSession, ThreadedKnnRun};
 
-use crate::json::{parse, Value};
 use crate::markdown_table;
+use vfps_obs::json::{parse, Value};
 
 /// The consortium world both backends derive: matches `vfps party
 /// --synthetic Rice --instances 96 --parties 3 --seed 7`, so external

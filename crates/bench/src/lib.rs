@@ -7,7 +7,6 @@
 pub mod check;
 pub mod cluster;
 pub mod experiments;
-pub mod json;
 pub mod serve;
 
 use std::path::PathBuf;

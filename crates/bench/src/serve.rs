@@ -30,8 +30,8 @@ use std::time::{Duration, Instant};
 
 use vfps_serve::{Client, DrainReport, Response, SelectRequest, ServeConfig, Server};
 
-use crate::json::{parse, Value};
 use crate::markdown_table;
+use vfps_obs::json::{parse, Value};
 
 /// The server parameters the workload assumes. An external daemon driven
 /// via `--addr` must be started with exactly these (`vfps serve

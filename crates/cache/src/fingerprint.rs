@@ -12,7 +12,7 @@
 //!   differ *only* in consortium membership share a filename prefix — the
 //!   churn path scans that prefix to find a reusable neighbor entry.
 
-use vfps_net::wire::{Wire, WireError};
+use vfps_net::wire::{Wire, WireError, WireSink};
 
 const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
@@ -84,7 +84,7 @@ impl std::fmt::Display for Fingerprint {
 }
 
 impl Wire for Fingerprint {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, out: &mut S) {
         ((self.0 >> 64) as u64).encode(out);
         (self.0 as u64).encode(out);
     }
@@ -93,10 +93,6 @@ impl Wire for Fingerprint {
         let hi = u64::decode(input)?;
         let lo = u64::decode(input)?;
         Ok(Fingerprint((u128::from(hi) << 64) | u128::from(lo)))
-    }
-
-    fn encoded_len(&self) -> usize {
-        16
     }
 }
 
@@ -154,7 +150,7 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
-    fn encode_keyed(&self, include_party_set: bool, out: &mut Vec<u8>) {
+    fn encode_keyed<S: WireSink>(&self, include_party_set: bool, out: &mut S) {
         self.tenant.encode(out);
         self.dataset.encode(out);
         self.partition.encode(out);
@@ -209,7 +205,7 @@ impl CacheKey {
 }
 
 impl Wire for CacheKey {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, out: &mut S) {
         self.encode_keyed(true, out);
     }
 
@@ -230,23 +226,6 @@ impl Wire for CacheKey {
             cost_model: Fingerprint::decode(input)?,
             seed: u64::decode(input)?,
         })
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.tenant.encoded_len()
-            + self.dataset.encoded_len()
-            + self.partition.encoded_len()
-            + self.db.encoded_len()
-            + self.queries.encoded_len()
-            + self.party_set.encoded_len()
-            + self.k.encoded_len()
-            + self.batch.encoded_len()
-            + self.mode.encoded_len()
-            + self.maximizer.encoded_len()
-            + self.maximizer_epsilon_bits.encoded_len()
-            + self.cost_scale_bits.encoded_len()
-            + self.cost_model.encoded_len()
-            + self.seed.encoded_len()
     }
 }
 

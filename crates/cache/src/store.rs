@@ -15,7 +15,7 @@
 use std::path::{Path, PathBuf};
 
 use vfps_net::cost::OpLedger;
-use vfps_net::wire::{Wire, WireError};
+use vfps_net::wire::{Wire, WireError, WireSink};
 use vfps_vfl::fed_knn::QueryOutcome;
 
 use crate::fingerprint::{CacheKey, Fnv128};
@@ -104,7 +104,7 @@ pub struct CacheEntry {
 }
 
 impl Wire for CacheEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, out: &mut S) {
         self.key.encode(out);
         self.outcomes.encode(out);
         self.similarity.encode(out);
@@ -124,16 +124,6 @@ impl Wire for CacheEntry {
             candidates_per_query: f64::decode(input)?,
             ledger: OpLedger::decode(input)?,
         })
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.key.encoded_len()
-            + self.outcomes.encoded_len()
-            + self.similarity.encoded_len()
-            + self.chosen.encoded_len()
-            + self.scores.encoded_len()
-            + 8
-            + self.ledger.encoded_len()
     }
 }
 

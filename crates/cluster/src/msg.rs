@@ -12,7 +12,7 @@
 //! [`ProtoMsg`](vfps_vfl::ProtoMsg) — so the hub can relay participant ⇄ participant traffic
 //! without decoding it.
 
-use vfps_net::wire::{take, Wire, WireError};
+use vfps_net::wire::{take, Wire, WireError, WireSink};
 use vfps_net::{Error, NodeId};
 use vfps_vfl::fed_knn::{FedKnnConfig, KnnMode, QueryOutcome};
 use vfps_vfl::KnnSession;
@@ -61,7 +61,7 @@ impl SchemeSpec {
 }
 
 impl Wire for SchemeSpec {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, out: &mut S) {
         let kind: u8 = match self.kind {
             SchemeKind::Plain => 0,
             SchemeKind::Paillier => 1,
@@ -85,33 +85,14 @@ impl Wire for SchemeSpec {
             seed: u64::decode(input)?,
         })
     }
-
-    fn encoded_len(&self) -> usize {
-        1 + 8 + 8 + 8
-    }
 }
 
-/// The byte for a [`KnnMode`] on the wire (only the modes the threaded
-/// protocol implements are routable; Threshold/NRA are logical-engine
-/// oracles and never reach a daemon).
-#[must_use]
-pub fn mode_byte(mode: KnnMode) -> u8 {
-    match mode {
-        KnnMode::Base => 0,
-        KnnMode::Fagin => 1,
-        KnnMode::Threshold => 2,
-        KnnMode::Nra => 3,
-    }
-}
-
-/// Inverse of [`mode_byte`], restricted to the protocol-capable modes.
+/// The protocol-capable [`KnnMode`] a wire byte names ([`KnnMode::byte`]):
+/// only Base and Fagin are routable to a daemon; Threshold/NRA are
+/// logical-engine oracles and never reach one.
 #[must_use]
 pub fn protocol_mode_from_byte(b: u8) -> Option<KnnMode> {
-    match b {
-        0 => Some(KnnMode::Base),
-        1 => Some(KnnMode::Fagin),
-        _ => None,
-    }
+    KnnMode::from_byte(b).filter(|m| matches!(m, KnnMode::Base | KnnMode::Fagin))
 }
 
 /// Everything a daemon needs to enter one protocol run: the session
@@ -131,7 +112,7 @@ pub struct SetupFrame {
     pub queries: Vec<usize>,
     /// `FedKnnConfig::k`.
     pub k: usize,
-    /// Protocol mode byte (see [`mode_byte`]).
+    /// Protocol mode byte (see [`KnnMode::byte`]).
     pub mode: u8,
     /// `FedKnnConfig::batch`.
     pub batch: usize,
@@ -158,7 +139,7 @@ impl SetupFrame {
             db_rows: session.db_rows.clone(),
             queries: session.queries.clone(),
             k: session.cfg.k,
-            mode: mode_byte(session.cfg.mode),
+            mode: session.cfg.mode.byte(),
             batch: session.cfg.batch,
             cost_scale_bits: session.cfg.cost_scale.to_bits(),
             shuffle_seed,
@@ -197,7 +178,7 @@ impl SetupFrame {
 }
 
 impl Wire for SetupFrame {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, out: &mut S) {
         self.slot.encode(out);
         self.parties.encode(out);
         self.db_rows.encode(out);
@@ -223,18 +204,6 @@ impl Wire for SetupFrame {
             shuffle_seed: u64::decode(input)?,
             scheme: SchemeSpec::decode(input)?,
         })
-    }
-
-    fn encoded_len(&self) -> usize {
-        8 + self.parties.encoded_len()
-            + self.db_rows.encoded_len()
-            + self.queries.encoded_len()
-            + 8
-            + 1
-            + 8
-            + 8
-            + 8
-            + self.scheme.encoded_len()
     }
 }
 
@@ -306,7 +275,7 @@ impl ErrorFrame {
 }
 
 impl Wire for ErrorFrame {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, out: &mut S) {
         self.kind.encode(out);
         self.peer.encode(out);
         self.waited_nanos.encode(out);
@@ -322,10 +291,6 @@ impl Wire for ErrorFrame {
             detail: String::decode(input)?,
             op: u64::decode(input)?,
         })
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + self.peer.encoded_len() + 8 + self.detail.encoded_len() + 8
     }
 }
 
@@ -379,7 +344,7 @@ pub enum ClusterMsg {
 }
 
 impl Wire for ClusterMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, out: &mut S) {
         match self {
             ClusterMsg::Setup(f) => {
                 out.push(0);
@@ -440,22 +405,6 @@ impl Wire for ClusterMsg {
             7 => ClusterMsg::Pong { nonce: u64::decode(input)? },
             t => return Err(WireError::BadTag(t)),
         })
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ClusterMsg::Setup(f) => f.encoded_len(),
-            ClusterMsg::Ready { party_id } => party_id.encoded_len(),
-            ClusterMsg::Routed { from, to, payload } => {
-                from.encoded_len() + to.encoded_len() + payload.encoded_len()
-            }
-            ClusterMsg::Departed { node, clean } => node.encoded_len() + clean.encoded_len(),
-            ClusterMsg::Finished { outcomes, dead_slots } => {
-                outcomes.encoded_len() + dead_slots.encoded_len()
-            }
-            ClusterMsg::Failed(e) => e.encoded_len(),
-            ClusterMsg::Ping { nonce } | ClusterMsg::Pong { nonce } => nonce.encoded_len(),
-        }
     }
 }
 
@@ -538,7 +487,7 @@ mod tests {
         let cfg = FedKnnConfig { k: 1, mode: KnnMode::Base, batch: 1, cost_scale: 1.0 };
         let session = KnnSession::new(&[0], &[0, 1], &[0], cfg, 1);
         let mut f = SetupFrame::for_slot(&session, 1, 0, SchemeSpec::plain(4));
-        f.mode = mode_byte(KnnMode::Nra);
+        f.mode = KnnMode::Nra.byte();
         assert!(matches!(f.session(), Err(Error::ProtocolViolation { .. })));
         let mut g = SetupFrame::for_slot(&session, 1, 0, SchemeSpec::plain(4));
         g.slot = 5;

@@ -32,7 +32,7 @@ use std::collections::HashMap;
 use vfps_cache::{ArtifactCache, CacheEntry, CacheError, CacheKey, ChurnKind, Fnv128};
 use vfps_net::cost::{CostModel, OpLedger};
 use vfps_net::wire::Wire;
-use vfps_vfl::fed_knn::{KnnMode, QueryOutcome};
+use vfps_vfl::fed_knn::QueryOutcome;
 
 use crate::incremental::IncrementalConsortium;
 use crate::selectors::{Selection, SelectionContext, VfpsSmSelector};
@@ -154,12 +154,7 @@ pub fn cache_key(
         party_set: party_set.to_vec(),
         k: sel.k,
         batch: sel.batch,
-        mode: match sel.mode {
-            KnnMode::Base => 0,
-            KnnMode::Fagin => 1,
-            KnnMode::Threshold => 2,
-            KnnMode::Nra => 3,
-        },
+        mode: sel.mode.byte(),
         // The maximizer changes the chosen set for identical artifacts, so
         // both its kind and its epsilon are part of the identity: a
         // stochastic or sieve selection must never warm-alias an

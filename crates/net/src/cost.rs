@@ -328,7 +328,7 @@ impl CostBreakdown {
 }
 
 impl crate::wire::Wire for OpCount {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: crate::wire::WireSink>(&self, out: &mut S) {
         self.path.encode(out);
         self.work.encode(out);
     }
@@ -336,14 +336,10 @@ impl crate::wire::Wire for OpCount {
     fn decode(input: &mut &[u8]) -> Result<Self, crate::wire::WireError> {
         Ok(OpCount { path: u64::decode(input)?, work: u64::decode(input)? })
     }
-
-    fn encoded_len(&self) -> usize {
-        16
-    }
 }
 
 impl crate::wire::Wire for OpLedger {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: crate::wire::WireSink>(&self, out: &mut S) {
         self.enc.encode(out);
         self.dec.encode(out);
         self.he_add.encode(out);
@@ -374,14 +370,10 @@ impl crate::wire::Wire for OpLedger {
             random_accesses: u64::decode(input)?,
         })
     }
-
-    fn encoded_len(&self) -> usize {
-        5 * 16 + 7 * 8
-    }
 }
 
 impl crate::wire::Wire for CostModel {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: crate::wire::WireSink>(&self, out: &mut S) {
         self.enc_us.encode(out);
         self.dec_us.encode(out);
         self.he_add_us.encode(out);
@@ -407,10 +399,6 @@ impl crate::wire::Wire for CostModel {
             id_bytes: usize::decode(input)?,
             scalar_bytes: usize::decode(input)?,
         })
-    }
-
-    fn encoded_len(&self) -> usize {
-        10 * 8
     }
 }
 

@@ -31,10 +31,41 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// Where [`Wire::encode`] writes its bytes: a buffer, or a counter that
+/// only measures. Encoding into the counter is how every message's exact
+/// size is derived, so `encode` is the one definition of a wire format.
+pub trait WireSink {
+    /// Appends one byte.
+    fn push(&mut self, byte: u8);
+    /// Appends a run of bytes.
+    fn extend_from_slice(&mut self, bytes: &[u8]);
+}
+
+impl WireSink for Vec<u8> {
+    fn push(&mut self, byte: u8) {
+        Vec::push(self, byte);
+    }
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        Vec::extend_from_slice(self, bytes);
+    }
+}
+
+/// A [`WireSink`] that counts the bytes it is given and stores none.
+struct ByteCounter(usize);
+
+impl WireSink for ByteCounter {
+    fn push(&mut self, _byte: u8) {
+        self.0 += 1;
+    }
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
 /// Types with a canonical wire encoding.
 pub trait Wire: Sized {
-    /// Appends the encoding of `self` to `buf`.
-    fn encode(&self, buf: &mut Vec<u8>);
+    /// Appends the encoding of `self` to `out`.
+    fn encode<S: WireSink>(&self, out: &mut S);
 
     /// Decodes a value from the front of `input`, advancing it.
     ///
@@ -42,8 +73,13 @@ pub trait Wire: Sized {
     /// Returns a [`WireError`] on truncated or malformed input.
     fn decode(input: &mut &[u8]) -> Result<Self, WireError>;
 
-    /// Exact encoded size in bytes.
-    fn encoded_len(&self) -> usize;
+    /// Exact encoded size in bytes, derived by encoding into a sink that
+    /// only counts (no allocation).
+    fn encoded_len(&self) -> usize {
+        let mut counter = ByteCounter(0);
+        self.encode(&mut counter);
+        counter.0
+    }
 
     /// Encodes into a fresh buffer.
     fn to_bytes(&self) -> Vec<u8> {
@@ -83,15 +119,12 @@ pub fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
 macro_rules! impl_wire_int {
     ($($t:ty),*) => {$(
         impl Wire for $t {
-            fn encode(&self, buf: &mut Vec<u8>) {
+            fn encode<S: WireSink>(&self, buf: &mut S) {
                 buf.extend_from_slice(&self.to_le_bytes());
             }
             fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
                 let bytes = take(input, std::mem::size_of::<$t>())?;
                 Ok(<$t>::from_le_bytes(bytes.try_into().expect("exact length")))
-            }
-            fn encoded_len(&self) -> usize {
-                std::mem::size_of::<$t>()
             }
         }
     )*};
@@ -100,32 +133,26 @@ macro_rules! impl_wire_int {
 impl_wire_int!(u8, u16, u32, u64, i64);
 
 impl Wire for f64 {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, buf: &mut S) {
         buf.extend_from_slice(&self.to_le_bytes());
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         let bytes = take(input, 8)?;
         Ok(f64::from_le_bytes(bytes.try_into().expect("exact length")))
     }
-    fn encoded_len(&self) -> usize {
-        8
-    }
 }
 
 impl Wire for usize {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, buf: &mut S) {
         (*self as u64).encode(buf);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         Ok(u64::decode(input)? as usize)
     }
-    fn encoded_len(&self) -> usize {
-        8
-    }
 }
 
 impl Wire for bool {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, buf: &mut S) {
         buf.push(u8::from(*self));
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
@@ -135,13 +162,10 @@ impl Wire for bool {
             t => Err(WireError::BadTag(t)),
         }
     }
-    fn encoded_len(&self) -> usize {
-        1
-    }
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, buf: &mut S) {
         (self.len() as u32).encode(buf);
         for item in self {
             item.encode(buf);
@@ -159,13 +183,10 @@ impl<T: Wire> Wire for Vec<T> {
         }
         Ok(out)
     }
-    fn encoded_len(&self) -> usize {
-        4 + self.iter().map(Wire::encoded_len).sum::<usize>()
-    }
 }
 
 impl<T: Wire> Wire for Option<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, buf: &mut S) {
         match self {
             None => buf.push(0),
             Some(v) => {
@@ -181,13 +202,10 @@ impl<T: Wire> Wire for Option<T> {
             t => Err(WireError::BadTag(t)),
         }
     }
-    fn encoded_len(&self) -> usize {
-        1 + self.as_ref().map_or(0, Wire::encoded_len)
-    }
 }
 
 impl Wire for String {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, buf: &mut S) {
         (self.len() as u32).encode(buf);
         buf.extend_from_slice(self.as_bytes());
     }
@@ -196,21 +214,15 @@ impl Wire for String {
         let bytes = take(input, len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadTag(0xff))
     }
-    fn encoded_len(&self) -> usize {
-        4 + self.len()
-    }
 }
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, buf: &mut S) {
         self.0.encode(buf);
         self.1.encode(buf);
     }
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         Ok((A::decode(input)?, B::decode(input)?))
-    }
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len() + self.1.encoded_len()
     }
 }
 

@@ -45,6 +45,7 @@
 
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod metrics;
 pub mod trace;
 

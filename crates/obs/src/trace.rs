@@ -1,7 +1,7 @@
-//! Finished captures: the span tree, the metrics snapshot, and the
-//! hand-rolled JSON exporter (the workspace has no serde — see
-//! `shims/README.md`).
+//! Finished captures: the span tree, the metrics snapshot, and their JSON
+//! export through [`crate::json`].
 
+use crate::json::Value;
 use crate::metrics::{Histogram, MetricsRegistry};
 
 /// One span in the finished tree.
@@ -81,7 +81,8 @@ impl Trace {
         names
     }
 
-    /// Serializes the full capture — span tree and metrics — as JSON.
+    /// Serializes the full capture — span tree and metrics — as JSON,
+    /// one key per line (the [`crate::json`] writer's layout).
     ///
     /// Schema (documented in DESIGN.md §8):
     ///
@@ -94,117 +95,62 @@ impl Trace {
     ///     "counters": {"name": 1},
     ///     "gauges": {"name": 1.5},
     ///     "histograms": {"name": {"count": 2, "sum": 3.0, "min": 1.0,
-    ///                             "max": 2.0, "buckets": [...]}}
+    ///                             "max": 2.0, "mean": 1.5, "buckets": [...]}}
     ///   }
     /// }
     /// ```
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"wall_us\": {},\n", self.wall_us));
-        out.push_str("  \"spans\": ");
-        write_spans(&mut out, &self.spans, 1);
-        out.push_str(",\n  \"metrics\": {\n    \"counters\": {");
-        for (i, (name, v)) in self.metrics.counters().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: {v}", json_string(name)));
-        }
-        out.push_str("},\n    \"gauges\": {");
-        for (i, (name, v)) in self.metrics.gauges().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: {}", json_string(name), json_number(*v)));
-        }
-        out.push_str("},\n    \"histograms\": {");
-        for (i, (name, h)) in self.metrics.histograms().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: ", json_string(name)));
-            write_histogram(&mut out, h);
-        }
-        out.push_str("}\n  }\n}\n");
-        out
+        let m = &self.metrics;
+        object([
+            ("wall_us", num(self.wall_us)),
+            ("spans", Value::Arr(self.spans.iter().map(span_value).collect())),
+            (
+                "metrics",
+                object([
+                    ("counters", named(m.counters(), |v| num(*v))),
+                    ("gauges", named(m.gauges(), |v| Value::Num(*v))),
+                    ("histograms", named(m.histograms(), histogram_value)),
+                ]),
+            ),
+        ])
+        .to_json()
     }
 }
 
-fn write_spans(out: &mut String, spans: &[TraceSpan], depth: usize) {
-    if spans.is_empty() {
-        out.push_str("[]");
-        return;
-    }
-    let pad = "  ".repeat(depth + 1);
-    out.push_str("[\n");
-    for (i, s) in spans.iter().enumerate() {
-        out.push_str(&format!(
-            "{pad}{{\"name\": {}, \"thread\": {}, \"start_us\": {}, \"duration_us\": {}, \
-             \"closed\": {}, \"children\": ",
-            json_string(&s.name),
-            s.thread,
-            s.start_us,
-            s.duration_us,
-            s.closed
-        ));
-        write_spans(out, &s.children, depth + 1);
-        out.push('}');
-        if i + 1 < spans.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str(&format!("{}]", "  ".repeat(depth)));
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
-fn write_histogram(out: &mut String, h: &Histogram) {
-    out.push_str(&format!(
-        "{{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \"buckets\": [",
-        h.count(),
-        json_number(h.sum()),
-        h.min().map_or_else(|| "null".to_owned(), json_number),
-        h.max().map_or_else(|| "null".to_owned(), json_number),
-        h.mean().map_or_else(|| "null".to_owned(), json_number),
-    ));
-    for (i, b) in h.buckets().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&b.to_string());
-    }
-    out.push_str("]}");
+fn named<T>(map: &std::collections::BTreeMap<String, T>, value: impl Fn(&T) -> Value) -> Value {
+    Value::Obj(map.iter().map(|(k, v)| (k.clone(), value(v))).collect())
 }
 
-/// A JSON number literal; non-finite values become `null`.
-#[must_use]
-pub fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
+fn num(v: u64) -> Value {
+    Value::Num(v as f64)
 }
 
-/// A JSON string literal with the mandatory escapes applied.
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+fn span_value(s: &TraceSpan) -> Value {
+    object([
+        ("name", Value::Str(s.name.clone())),
+        ("thread", num(s.thread)),
+        ("start_us", num(s.start_us)),
+        ("duration_us", num(s.duration_us)),
+        ("closed", Value::Bool(s.closed)),
+        ("children", Value::Arr(s.children.iter().map(span_value).collect())),
+    ])
+}
+
+fn histogram_value(h: &Histogram) -> Value {
+    let opt = |v: Option<f64>| v.map_or(Value::Null, Value::Num);
+    object([
+        ("count", num(h.count())),
+        ("sum", Value::Num(h.sum())),
+        ("min", opt(h.min())),
+        ("max", opt(h.max())),
+        ("mean", opt(h.mean())),
+        ("buckets", Value::Arr(h.buckets().iter().map(|b| num(*b)).collect())),
+    ])
 }
 
 #[cfg(test)]
@@ -247,27 +193,36 @@ mod tests {
     fn json_contains_tree_and_metrics() {
         let j = sample().to_json();
         assert!(j.contains("\"wall_us\": 42"), "{j}");
-        assert!(j.contains("\"name\": \"root\""), "{j}");
-        assert!(j.contains("\"name\": \"child\""), "{j}");
-        assert!(j.contains("\"counters\": {\"enc\": 7}"), "{j}");
-        assert!(j.contains("\"gauges\": {\"bytes\": 12.5}"), "{j}");
-        assert!(j.contains("\"count\": 1"), "{j}");
+        assert!(j.contains("\"enc\": 7"), "{j}");
+        // The export parses with the workspace codec and gives back the
+        // span tree, counters, gauges and histogram fields.
+        let v = crate::json::parse(&j).expect("trace JSON parses");
+        let root = match v.get("spans") {
+            Some(Value::Arr(spans)) if spans.len() == 1 => &spans[0],
+            other => panic!("expected one root span, got {other:?}"),
+        };
+        assert_eq!(root.get("name"), Some(&Value::Str("root".into())));
+        assert_eq!(root.get("duration_us").and_then(Value::as_num), Some(10.0));
         // Children nest inside their parent, not beside it.
-        let root_pos = j.find("\"name\": \"root\"").unwrap();
-        let child_pos = j.find("\"name\": \"child\"").unwrap();
-        assert!(child_pos > root_pos);
-    }
-
-    #[test]
-    fn json_strings_escape_specials() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn json_numbers_handle_non_finite() {
-        assert_eq!(json_number(1.5), "1.5");
-        assert_eq!(json_number(f64::NAN), "null");
-        assert_eq!(json_number(f64::INFINITY), "null");
+        match root.get("children") {
+            Some(Value::Arr(children)) => {
+                let names: Vec<_> = children.iter().filter_map(|c| c.get("name")).collect();
+                assert_eq!(names, vec![&Value::Str("child".into()); 2]);
+            }
+            other => panic!("expected children, got {other:?}"),
+        }
+        let metrics = v.get("metrics").expect("metrics");
+        let counter = metrics.get("counters").and_then(|c| c.get("enc"));
+        assert_eq!(counter.and_then(Value::as_num), Some(7.0));
+        let gauge = metrics.get("gauges").and_then(|g| g.get("bytes"));
+        assert_eq!(gauge.and_then(Value::as_num), Some(12.5));
+        let hist = metrics.get("histograms").and_then(|h| h.get("lat_us")).expect("histogram");
+        for (field, want) in [("count", 1.0), ("sum", 3.0), ("min", 3.0), ("max", 3.0)] {
+            assert_eq!(hist.get(field).and_then(Value::as_num), Some(want), "{field}");
+        }
+        match hist.get("buckets") {
+            Some(Value::Arr(b)) => assert_eq!(b.len(), crate::HISTOGRAM_BUCKETS),
+            other => panic!("expected buckets, got {other:?}"),
+        }
     }
 }

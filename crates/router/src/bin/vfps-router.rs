@@ -14,18 +14,16 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use vfps_router::{Router, RouterConfig};
+use vfps_serve::Flags;
 
 fn parse_args(args: &[String]) -> Result<RouterConfig, String> {
     let mut cfg = RouterConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => cfg.addr = value("--addr")?,
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--addr" => cfg.addr = flags.value(arg)?,
             "--backend" => {
-                let spec = value("--backend")?;
+                let spec = flags.value(arg)?;
                 let (name, addr) = spec
                     .split_once('=')
                     .ok_or_else(|| format!("--backend wants name=host:port, got {spec:?}"))?;
@@ -34,27 +32,13 @@ fn parse_args(args: &[String]) -> Result<RouterConfig, String> {
                 }
                 cfg.backends.push((name.to_owned(), addr.to_owned()));
             }
-            "--ring-seed" => {
-                let v = value("--ring-seed")?;
-                cfg.ring_seed = v.parse().map_err(|e| format!("bad --ring-seed {v:?}: {e}"))?;
-            }
-            "--vnodes" => {
-                let v = value("--vnodes")?;
-                cfg.vnodes = v.parse().map_err(|e| format!("bad --vnodes {v:?}: {e}"))?;
-            }
+            "--ring-seed" => cfg.ring_seed = flags.parse(arg)?,
+            "--vnodes" => cfg.vnodes = flags.parse(arg)?,
             "--health-interval-ms" => {
-                let v = value("--health-interval-ms")?;
-                cfg.health_interval = Duration::from_millis(
-                    v.parse().map_err(|e| format!("bad --health-interval-ms {v:?}: {e}"))?,
-                );
+                cfg.health_interval = Duration::from_millis(flags.parse(arg)?);
             }
-            "--health-timeout-ms" => {
-                let v = value("--health-timeout-ms")?;
-                cfg.health_timeout = Duration::from_millis(
-                    v.parse().map_err(|e| format!("bad --health-timeout-ms {v:?}: {e}"))?,
-                );
-            }
-            "--trace-out" => cfg.trace_out = Some(value("--trace-out")?.into()),
+            "--health-timeout-ms" => cfg.health_timeout = Duration::from_millis(flags.parse(arg)?),
+            "--trace-out" => cfg.trace_out = Some(flags.value(arg)?.into()),
             "--help" | "-h" => {
                 print_help();
                 std::process::exit(0);

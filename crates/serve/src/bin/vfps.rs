@@ -23,7 +23,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use vfps_serve::{Client, Request, Response, SelectRequest, ServeConfig, Server};
+use vfps_serve::{Client, Flags, Request, Response, SelectRequest, ServeConfig, Server};
 
 use vfps_core::make_selector;
 use vfps_core::pipeline::{Method, PipelineConfig};
@@ -77,37 +77,26 @@ impl Default for Args {
     }
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--data" => args.data = Some(PathBuf::from(value("--data")?)),
-            "--format" => args.format = value("--format")?,
-            "--synthetic" => args.synthetic = Some(value("--synthetic")?),
-            "--parties" => {
-                args.parties = value("--parties")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--select" => {
-                args.select = value("--select")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--method" => args.method = value("--method")?.to_lowercase(),
-            "--model" => args.model = value("--model")?.to_lowercase(),
-            "--k" => args.knn_k = value("--k")?.parse().map_err(|e| format!("{e}"))?,
-            "--queries" => {
-                args.queries = value("--queries")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--label-column" => {
-                args.label_column = value("--label-column")?.parse().map_err(|e| format!("{e}"))?;
-            }
+    let mut flags = Flags::new(argv);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--data" => args.data = Some(PathBuf::from(flags.value(arg)?)),
+            "--format" => args.format = flags.value(arg)?,
+            "--synthetic" => args.synthetic = Some(flags.value(arg)?),
+            "--parties" => args.parties = flags.parse(arg)?,
+            "--select" => args.select = flags.parse(arg)?,
+            "--method" => args.method = flags.value(arg)?.to_lowercase(),
+            "--model" => args.model = flags.value(arg)?.to_lowercase(),
+            "--k" => args.knn_k = flags.parse(arg)?,
+            "--queries" => args.queries = flags.parse(arg)?,
+            "--seed" => args.seed = flags.parse(arg)?,
+            "--label-column" => args.label_column = flags.parse(arg)?,
             "--no-header" => args.no_header = true,
             "--verbose" | "-v" => args.verbose = true,
-            "--trace-out" => args.trace_out = Some(PathBuf::from(value("--trace-out")?)),
-            "--cache-dir" => args.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
+            "--trace-out" => args.trace_out = Some(PathBuf::from(flags.value(arg)?)),
+            "--cache-dir" => args.cache_dir = Some(PathBuf::from(flags.value(arg)?)),
             "--help" | "-h" => {
                 print_help();
                 std::process::exit(0);
@@ -198,8 +187,8 @@ fn load(args: &Args) -> Result<(Dataset, Split), String> {
     Ok((ds, split))
 }
 
-fn run() -> Result<(), String> {
-    let args = parse_args()?;
+fn run(argv: &[String]) -> Result<(), String> {
+    let args = parse_args(argv)?;
     let (ds, split) = load(&args)?;
     if args.parties > ds.n_features() {
         return Err(format!("{} parties but only {} features", args.parties, ds.n_features()));
@@ -346,39 +335,20 @@ fn run() -> Result<(), String> {
 
 fn run_serve(args: &[String]) -> Result<(), String> {
     let mut cfg = ServeConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => cfg.addr = value("--addr")?,
-            "--synthetic" => cfg.dataset = value("--synthetic")?,
-            "--instances" => {
-                cfg.instances = value("--instances")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--parties" => {
-                cfg.parties = value("--parties")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--seed" => cfg.data_seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--max-concurrent" => {
-                cfg.max_concurrent =
-                    value("--max-concurrent")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--queue-capacity" => {
-                cfg.queue_capacity =
-                    value("--queue-capacity")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--max-tenants" => {
-                cfg.max_tenants = value("--max-tenants")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--deadline-ms" => {
-                cfg.default_deadline = Duration::from_millis(
-                    value("--deadline-ms")?.parse().map_err(|e| format!("{e}"))?,
-                );
-            }
-            "--cache-dir" => cfg.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-            "--trace-out" => cfg.trace_out = Some(PathBuf::from(value("--trace-out")?)),
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--addr" => cfg.addr = flags.value(arg)?,
+            "--synthetic" => cfg.dataset = flags.value(arg)?,
+            "--instances" => cfg.instances = flags.parse(arg)?,
+            "--parties" => cfg.parties = flags.parse(arg)?,
+            "--seed" => cfg.data_seed = flags.parse(arg)?,
+            "--max-concurrent" => cfg.max_concurrent = flags.parse(arg)?,
+            "--queue-capacity" => cfg.queue_capacity = flags.parse(arg)?,
+            "--max-tenants" => cfg.max_tenants = flags.parse(arg)?,
+            "--deadline-ms" => cfg.default_deadline = Duration::from_millis(flags.parse(arg)?),
+            "--cache-dir" => cfg.cache_dir = Some(PathBuf::from(flags.value(arg)?)),
+            "--trace-out" => cfg.trace_out = Some(PathBuf::from(flags.value(arg)?)),
             "--once" => cfg.once = true,
             "--help" | "-h" => {
                 print_serve_help();
@@ -429,25 +399,16 @@ fn run_party(args: &[String]) -> Result<(), String> {
     let mut seed = 42u64;
     let mut party_id: Option<usize> = None;
     let mut max_sessions: Option<usize> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => addr = value("--addr")?,
-            "--synthetic" => dataset = value("--synthetic")?,
-            "--instances" => {
-                instances = value("--instances")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--parties" => parties = value("--parties")?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--party-id" => {
-                party_id = Some(value("--party-id")?.parse().map_err(|e| format!("{e}"))?);
-            }
-            "--max-sessions" => {
-                max_sessions = Some(value("--max-sessions")?.parse().map_err(|e| format!("{e}"))?);
-            }
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--addr" => addr = flags.value(arg)?,
+            "--synthetic" => dataset = flags.value(arg)?,
+            "--instances" => instances = flags.parse(arg)?,
+            "--parties" => parties = flags.parse(arg)?,
+            "--seed" => seed = flags.parse(arg)?,
+            "--party-id" => party_id = Some(flags.parse(arg)?),
+            "--max-sessions" => max_sessions = Some(flags.parse(arg)?),
             "--help" | "-h" => {
                 print_party_help();
                 std::process::exit(0);
@@ -546,32 +507,23 @@ fn run_submit(args: &[String]) -> Result<(), String> {
         shutdown: false,
         list_datasets: false,
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => sub.addr = value("--addr")?,
-            "--dataset" => sub.req.dataset = value("--dataset")?,
-            "--id" => {
-                sub.req.request_id = value("--id")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--parties" => sub.parties = value("--parties")?.parse().map_err(|e| format!("{e}"))?,
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--addr" => sub.addr = flags.value(arg)?,
+            "--dataset" => sub.req.dataset = flags.value(arg)?,
+            "--id" => sub.req.request_id = flags.parse(arg)?,
+            "--parties" => sub.parties = flags.parse(arg)?,
             "--party-set" => {
-                let set: Result<Vec<usize>, _> =
-                    value("--party-set")?.split(',').map(str::trim).map(str::parse).collect();
-                sub.party_set = Some(set.map_err(|e| format!("{e}"))?);
+                let v = flags.value(arg)?;
+                let set = v.split(',').map(|p| p.trim().parse()).collect::<Result<_, _>>();
+                sub.party_set = Some(set.map_err(|e| format!("bad {arg} {v:?}: {e}"))?);
             }
-            "--select" => {
-                sub.req.select = value("--select")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--k" => sub.req.k = value("--k")?.parse().map_err(|e| format!("{e}"))?,
-            "--queries" => {
-                sub.req.query_count = value("--queries")?.parse().map_err(|e| format!("{e}"))?;
-            }
+            "--select" => sub.req.select = flags.parse(arg)?,
+            "--k" => sub.req.k = flags.parse(arg)?,
+            "--queries" => sub.req.query_count = flags.parse(arg)?,
             "--mode" => {
-                sub.req.mode = match value("--mode")?.to_lowercase().as_str() {
+                sub.req.mode = match flags.value(arg)?.to_lowercase().as_str() {
                     "base" => 0,
                     "fagin" => 1,
                     "threshold" | "ta" => 2,
@@ -580,7 +532,7 @@ fn run_submit(args: &[String]) -> Result<(), String> {
                 };
             }
             "--maximizer" => {
-                sub.req.maximizer = match value("--maximizer")?.to_lowercase().as_str() {
+                sub.req.maximizer = match flags.value(arg)?.to_lowercase().as_str() {
                     "greedy" => 0,
                     "lazy" => 1,
                     "stochastic" => 2,
@@ -588,11 +540,8 @@ fn run_submit(args: &[String]) -> Result<(), String> {
                     other => return Err(format!("unknown maximizer {other}")),
                 };
             }
-            "--seed" => sub.req.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--deadline-ms" => {
-                sub.req.deadline_ms =
-                    value("--deadline-ms")?.parse().map_err(|e| format!("{e}"))?;
-            }
+            "--seed" => sub.req.seed = flags.parse(arg)?,
+            "--deadline-ms" => sub.req.deadline_ms = flags.parse(arg)?,
             "--ping" => sub.ping = true,
             "--shutdown" => sub.shutdown = true,
             "--list-datasets" => sub.list_datasets = true,
@@ -686,12 +635,10 @@ fn run_route(args: &[String]) -> Result<(), String> {
     let mut action: Option<String> = None;
     let mut drain_target: Option<String> = None;
     let mut add_target: Option<(String, String)> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => {
-                addr = it.next().cloned().ok_or("--addr needs a value")?;
-            }
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--addr" => addr = flags.value(arg)?,
             "--help" | "-h" => {
                 print_route_help();
                 std::process::exit(0);
@@ -699,11 +646,11 @@ fn run_route(args: &[String]) -> Result<(), String> {
             "status" if action.is_none() => action = Some("status".into()),
             "drain" if action.is_none() => {
                 action = Some("drain".into());
-                drain_target = Some(it.next().cloned().ok_or("drain needs a backend name")?);
+                drain_target = Some(flags.next().ok_or("drain needs a backend name")?.to_owned());
             }
             "add" if action.is_none() => {
                 action = Some("add".into());
-                let spec = it.next().cloned().ok_or("add needs <name>=<host:port>")?;
+                let spec = flags.next().ok_or("add needs <name>=<host:port>")?;
                 let (name, backend_addr) = spec
                     .split_once('=')
                     .ok_or_else(|| format!("add target {spec:?} must be <name>=<host:port>"))?;
@@ -807,7 +754,7 @@ fn main() -> ExitCode {
         Some("submit") => run_submit(&argv[1..]),
         Some("route") => run_route(&argv[1..]),
         Some("party") => run_party(&argv[1..]),
-        _ => run(),
+        _ => run(&argv),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -51,12 +51,14 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod flags;
 pub mod proto;
 pub mod queue;
 pub mod server;
 pub mod tenant;
 
 pub use client::{Client, ClientError};
+pub use flags::Flags;
 pub use proto::{
     health_state_name, knn_mode, maximizer, response_request_id, BackendStatus, DrainReport,
     Request, Response, RouterStatusReply, SelectReply, SelectRequest, TenantStatus,

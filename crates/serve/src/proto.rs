@@ -11,7 +11,7 @@
 //! control happens server-side per request, so a client blocked behind its
 //! own in-flight request is the intended backpressure.
 
-use vfps_net::wire::{Wire, WireError};
+use vfps_net::wire::{Wire, WireError, WireSink};
 
 /// Bumped on any incompatible frame-layout change; [`Response::Pong`]
 /// echoes it so clients can detect mismatched builds.
@@ -42,19 +42,13 @@ use vfps_net::wire::{Wire, WireError};
 pub const PROTOCOL_VERSION: u32 = 2;
 
 /// The federated-KNN variant a [`SelectRequest::mode`] byte names, or
-/// `None` for an unknown byte. The single place the wire byte is mapped —
-/// admission validation, job execution, and the client-side pre-flight all
-/// delegate here so an unknown mode can never be silently coerced.
+/// `None` for an unknown byte ([`KnnMode::from_byte`](vfps_vfl::fed_knn::KnnMode::from_byte),
+/// the one byte table). Admission validation, job execution, and the
+/// client-side pre-flight all delegate here so an unknown mode can never
+/// be silently coerced.
 #[must_use]
 pub fn knn_mode(mode: u8) -> Option<vfps_vfl::fed_knn::KnnMode> {
-    use vfps_vfl::fed_knn::KnnMode;
-    match mode {
-        0 => Some(KnnMode::Base),
-        1 => Some(KnnMode::Fagin),
-        2 => Some(KnnMode::Threshold),
-        3 => Some(KnnMode::Nra),
-        _ => None,
-    }
+    vfps_vfl::fed_knn::KnnMode::from_byte(mode)
 }
 
 /// Epsilon the server attaches to the approximate maximizers. Fixed
@@ -114,7 +108,7 @@ pub struct SelectRequest {
 }
 
 impl Wire for SelectRequest {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, buf: &mut S) {
         self.request_id.encode(buf);
         self.dataset.encode(buf);
         self.party_set.encode(buf);
@@ -143,22 +137,6 @@ impl Wire for SelectRequest {
             // remainder unambiguously means "field absent" = greedy.
             maximizer: if input.is_empty() { 0 } else { u8::decode(input)? },
         })
-    }
-
-    // Delegating per field keeps the length exact on every target and
-    // under every future field-width change (a hardcoded `8` per `usize`
-    // was silently wrong on 32-bit).
-    fn encoded_len(&self) -> usize {
-        self.request_id.encoded_len()
-            + self.dataset.encoded_len()
-            + self.party_set.encoded_len()
-            + self.select.encoded_len()
-            + self.k.encoded_len()
-            + self.query_count.encoded_len()
-            + self.mode.encoded_len()
-            + self.seed.encoded_len()
-            + self.deadline_ms.encoded_len()
-            + self.maximizer.encoded_len()
     }
 }
 
@@ -204,7 +182,7 @@ pub enum Request {
 }
 
 impl Wire for Request {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, buf: &mut S) {
         match self {
             Request::Select(r) => {
                 buf.push(0);
@@ -239,15 +217,6 @@ impl Wire for Request {
                 addr: String::decode(input)?,
             }),
             t => Err(WireError::BadTag(t)),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            Request::Select(r) => r.encoded_len(),
-            Request::Ping | Request::Shutdown | Request::ListDatasets | Request::RouterStatus => 0,
-            Request::DrainBackend(name) => name.encoded_len(),
-            Request::AddBackend { name, addr } => name.encoded_len() + addr.encoded_len(),
         }
     }
 }
@@ -287,7 +256,7 @@ pub struct BackendStatus {
 }
 
 impl Wire for BackendStatus {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, buf: &mut S) {
         self.name.encode(buf);
         self.addr.encode(buf);
         self.state.encode(buf);
@@ -306,15 +275,6 @@ impl Wire for BackendStatus {
             relay_errors: u64::decode(input)?,
         })
     }
-
-    fn encoded_len(&self) -> usize {
-        self.name.encoded_len()
-            + self.addr.encoded_len()
-            + self.state.encoded_len()
-            + self.vnodes.encoded_len()
-            + self.routed.encoded_len()
-            + self.relay_errors.encoded_len()
-    }
 }
 
 /// The routing tier's self-description: ring parameters plus one
@@ -331,7 +291,7 @@ pub struct RouterStatusReply {
 }
 
 impl Wire for RouterStatusReply {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, buf: &mut S) {
         self.ring_seed.encode(buf);
         self.vnodes_per_backend.encode(buf);
         self.backends.encode(buf);
@@ -343,12 +303,6 @@ impl Wire for RouterStatusReply {
             vnodes_per_backend: u64::decode(input)?,
             backends: Vec::<BackendStatus>::decode(input)?,
         })
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.ring_seed.encoded_len()
-            + self.vnodes_per_backend.encoded_len()
-            + self.backends.encoded_len()
     }
 }
 
@@ -376,7 +330,7 @@ pub struct TenantStatus {
 }
 
 impl Wire for TenantStatus {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, buf: &mut S) {
         self.dataset.encode(buf);
         self.resident.encode(buf);
         self.accepted.encode(buf);
@@ -398,17 +352,6 @@ impl Wire for TenantStatus {
             in_flight: u64::decode(input)?,
             cache_hits: u64::decode(input)?,
         })
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.dataset.encoded_len()
-            + self.resident.encoded_len()
-            + self.accepted.encoded_len()
-            + self.completed.encoded_len()
-            + self.failed.encoded_len()
-            + self.rejected.encoded_len()
-            + self.in_flight.encoded_len()
-            + self.cache_hits.encoded_len()
     }
 }
 
@@ -447,7 +390,7 @@ pub struct SelectReply {
 }
 
 impl Wire for SelectReply {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, buf: &mut S) {
         self.request_id.encode(buf);
         self.chosen.encode(buf);
         self.scores.encode(buf);
@@ -476,19 +419,6 @@ impl Wire for SelectReply {
             random_accesses: if input.is_empty() { 0 } else { u64::decode(input)? },
         })
     }
-
-    fn encoded_len(&self) -> usize {
-        self.request_id.encoded_len()
-            + self.chosen.encoded_len()
-            + self.scores.encoded_len()
-            + self.cache_status.encoded_len()
-            + self.enc_instances.encoded_len()
-            + self.cache_hits.encoded_len()
-            + self.cache_misses.encoded_len()
-            + self.queue_us.encoded_len()
-            + self.run_us.encoded_len()
-            + self.random_accesses.encoded_len()
-    }
 }
 
 /// Final accounting returned by a graceful drain. After a clean drain
@@ -510,7 +440,7 @@ pub struct DrainReport {
 }
 
 impl Wire for DrainReport {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, buf: &mut S) {
         self.accepted.encode(buf);
         self.completed.encode(buf);
         self.failed.encode(buf);
@@ -528,15 +458,6 @@ impl Wire for DrainReport {
             in_flight: u64::decode(input)?,
             cache_hits: u64::decode(input)?,
         })
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.accepted.encoded_len()
-            + self.completed.encoded_len()
-            + self.failed.encoded_len()
-            + self.rejected.encoded_len()
-            + self.in_flight.encoded_len()
-            + self.cache_hits.encoded_len()
     }
 }
 
@@ -593,7 +514,7 @@ pub enum Response {
 }
 
 impl Wire for Response {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, buf: &mut S) {
         match self {
             Response::Selected(r) => {
                 buf.push(0);
@@ -663,27 +584,6 @@ impl Wire for Response {
             t => Err(WireError::BadTag(t)),
         }
     }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            Response::Selected(r) => r.encoded_len(),
-            Response::Busy { request_id, queue_depth, capacity } => {
-                request_id.encoded_len() + queue_depth.encoded_len() + capacity.encoded_len()
-            }
-            Response::TimedOut { request_id, waited_ms } => {
-                request_id.encoded_len() + waited_ms.encoded_len()
-            }
-            Response::Rejected { request_id, reason } => {
-                request_id.encoded_len() + reason.encoded_len()
-            }
-            Response::Draining(r) => r.encoded_len(),
-            Response::Pong { version } => version.encoded_len(),
-            Response::Datasets { default_dataset, max_resident, tenants } => {
-                default_dataset.encoded_len() + max_resident.encoded_len() + tenants.encoded_len()
-            }
-            Response::RouterStatus(r) => r.encoded_len(),
-        }
-    }
 }
 
 /// The id a reply answers, across every response kind (`None` for the
@@ -748,6 +648,10 @@ mod tests {
         assert_eq!(knn_mode(3), Some(KnnMode::Nra));
         for bad in [4u8, 100, 250, 255] {
             assert_eq!(knn_mode(bad), None, "mode {bad} must not map");
+        }
+        // The inverse, which cache keys and cluster setup frames carry.
+        for byte in 0..4u8 {
+            assert_eq!(knn_mode(byte).map(KnnMode::byte), Some(byte));
         }
     }
 

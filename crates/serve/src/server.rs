@@ -226,8 +226,13 @@ impl Server {
         let (cache_dir, scratch_cache) = match &cfg.cache_dir {
             Some(dir) => (dir.clone(), None),
             None => {
-                let dir =
-                    std::env::temp_dir().join(format!("vfps_serve_cache_{}", std::process::id()));
+                // Unique per process *and* server: two servers embedded in
+                // one process must not share (or drain-delete) each
+                // other's scratch cache.
+                static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
+                let seq = SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed);
+                let dir = std::env::temp_dir()
+                    .join(format!("vfps_serve_cache_{}-{seq}", std::process::id()));
                 (dir.clone(), Some(dir))
             }
         };

@@ -133,6 +133,26 @@ fn served_selection_is_bit_identical_to_a_direct_run_and_repeats_serve_warm() {
 }
 
 #[test]
+fn servers_in_one_process_keep_separate_scratch_caches() {
+    // Neither server names a cache dir, so each gets a scratch one. Draining
+    // the first deletes its scratch dir; the second must keep its own.
+    let (addr_a, handle_a) = spawn(test_config());
+    let (addr_b, handle_b) = spawn(test_config());
+    Client::connect(addr_a).unwrap().shutdown().unwrap();
+    handle_a.join().unwrap();
+
+    let mut client = Client::connect(addr_b).unwrap();
+    for (id, want) in [(1, "cold"), (2, "warm")] {
+        match client.select(&request(id, 4242)).unwrap() {
+            Response::Selected(r) => assert_eq!(r.cache_status, want, "request {id}"),
+            other => panic!("expected Selected, got {other:?}"),
+        }
+    }
+    client.shutdown().unwrap();
+    handle_b.join().unwrap();
+}
+
+#[test]
 fn ping_reports_the_protocol_version() {
     let (addr, handle) = spawn(test_config());
     let mut client = Client::connect(addr).unwrap();

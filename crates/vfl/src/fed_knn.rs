@@ -56,6 +56,31 @@ pub enum KnnMode {
     Nra,
 }
 
+impl KnnMode {
+    /// Stable wire/cache tag: 0 = Base, 1 = Fagin, 2 = Threshold, 3 = NRA.
+    #[must_use]
+    pub fn byte(self) -> u8 {
+        match self {
+            KnnMode::Base => 0,
+            KnnMode::Fagin => 1,
+            KnnMode::Threshold => 2,
+            KnnMode::Nra => 3,
+        }
+    }
+
+    /// Inverse of [`KnnMode::byte`]; `None` for an unknown byte.
+    #[must_use]
+    pub fn from_byte(byte: u8) -> Option<KnnMode> {
+        match byte {
+            0 => Some(KnnMode::Base),
+            1 => Some(KnnMode::Fagin),
+            2 => Some(KnnMode::Threshold),
+            3 => Some(KnnMode::Nra),
+            _ => None,
+        }
+    }
+}
+
 /// Federated KNN configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct FedKnnConfig {
@@ -131,7 +156,7 @@ pub struct QueryOutcome {
 }
 
 impl vfps_net::wire::Wire for QueryOutcome {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: vfps_net::wire::WireSink>(&self, out: &mut S) {
         self.topk_rows.encode(out);
         self.d_t.encode(out);
         self.d_t_total.encode(out);
@@ -145,10 +170,6 @@ impl vfps_net::wire::Wire for QueryOutcome {
             d_t_total: f64::decode(input)?,
             candidates: usize::decode(input)?,
         })
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.topk_rows.encoded_len() + self.d_t.encoded_len() + 8 + 8
     }
 }
 

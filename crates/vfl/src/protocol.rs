@@ -36,7 +36,7 @@ use vfps_he::scheme::AdditiveHe;
 use vfps_ml::linalg::{squared_distance, Matrix};
 use vfps_net::channel::Channel;
 use vfps_net::cluster::{run_cluster_fallible, ClusterOptions, NodeCtx};
-use vfps_net::wire::{take, Wire, WireError};
+use vfps_net::wire::{take, Wire, WireError, WireSink};
 use vfps_net::{Error, FaultPlan, NodeId, TrafficLedger};
 
 /// Stand-in distance for a query's own database entry: large enough never
@@ -81,7 +81,7 @@ pub enum ProtoMsg {
 }
 
 impl Wire for ProtoMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: WireSink>(&self, buf: &mut S) {
         match self {
             ProtoMsg::NeedBatch => buf.push(0),
             ProtoMsg::RankBatch(ids) => {
@@ -131,18 +131,6 @@ impl Wire for ProtoMsg {
             8 => ProtoMsg::AggregatedPartial(Vec::decode(input)?, Vec::decode(input)?),
             t => return Err(WireError::BadTag(t)),
         })
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ProtoMsg::NeedBatch | ProtoMsg::QueryDone => 0,
-            ProtoMsg::RankBatch(ids) | ProtoMsg::Candidates(ids) | ProtoMsg::TopkIds(ids) => {
-                ids.encoded_len()
-            }
-            ProtoMsg::EncPartials(blobs) | ProtoMsg::Aggregated(blobs) => blobs.encoded_len(),
-            ProtoMsg::AggregatedPartial(blobs, slots) => blobs.encoded_len() + slots.encoded_len(),
-            ProtoMsg::DtSum(v) => v.encoded_len(),
-        }
     }
 }
 

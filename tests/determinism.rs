@@ -57,6 +57,7 @@ fn run_selection(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
+    #[test]
     fn selection_is_bit_identical_across_thread_counts(
         seed in 0u64..1_000,
         query_count in 4usize..12,
@@ -71,6 +72,7 @@ proptest! {
         }
     }
 
+    #[test]
     fn base_mode_is_bit_identical_across_thread_counts(seed in 0u64..1_000) {
         let reference = run_selection(seed, 6, KnnMode::Base, &Pool::with_threads(1));
         for threads in thread_counts() {
@@ -107,6 +109,7 @@ proptest! {
     /// gain evaluations over the pool, so the chosen set (and the exact
     /// evaluation count) must be a pure function of the seed — identical
     /// at 1, 2, and cores threads.
+    #[test]
     fn parallel_stochastic_greedy_is_bit_identical_across_thread_counts(
         seed in 0u64..1_000,
         n in 40usize..90,
@@ -123,6 +126,7 @@ proptest! {
     /// Sieve-streaming maps each arrival's per-sieve gains in input order,
     /// so ladder admissions — and thus the final set — cannot depend on
     /// the worker count.
+    #[test]
     fn sieve_streaming_is_bit_identical_across_thread_counts(
         seed in 0u64..1_000,
         n in 40usize..90,
