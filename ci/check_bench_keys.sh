@@ -37,6 +37,7 @@ he_ops
 paillier_exponentiations
 paillier_values_per_exponentiation
 paillier_pooled_speedup_vs_slow
+paillier_crt_decrypt_speedup
 ckks_packing_speedup
 per_phase_breakdown
 enc_instances

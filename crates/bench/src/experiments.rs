@@ -876,6 +876,41 @@ pub fn bench_selection(cfg: &ExpConfig) -> String {
             "precomputed+packed encryption must be >= 5x the slow path, got {paillier_speedup:.1}x"
         );
 
+        // Decryption at the production key size (SECURITY.md: >= 2048 bits):
+        // CRT over p² and q² vs the full-width n² oracle on the same
+        // ciphertexts. A CRT path that silently falls back to the oracle
+        // shows up here as a ~1x speedup; at toy key sizes the two
+        // branches' short limb loops hide part of CRT's 4x.
+        let decrypt_key_bits = 2048;
+        let decrypt_kp = vfps_he::paillier::generate_keypair(
+            &mut vfps_he::scheme::seeded_rng(1507),
+            decrypt_key_bits,
+        )
+        .expect("keygen");
+        let sk = &decrypt_kp.private;
+        let cts: Vec<_> = encoded[..4]
+            .iter()
+            .map(|&e| decrypt_kp.public.encrypt_i64(e, &mut rng).expect("encrypt"))
+            .collect();
+        for ct in &cts {
+            assert_eq!(sk.decrypt(ct), sk.decrypt_plain(ct), "CRT decrypt must match the oracle");
+        }
+        let (mut crt_samples, mut plain_samples) = (Vec::new(), Vec::new());
+        for _ in 0..reps {
+            let t = Instant::now();
+            cts.iter().for_each(|ct| drop(std::hint::black_box(sk.decrypt(ct))));
+            crt_samples.push(t.elapsed().as_secs_f64());
+            let t = Instant::now();
+            cts.iter().for_each(|ct| drop(std::hint::black_box(sk.decrypt_plain(ct))));
+            plain_samples.push(t.elapsed().as_secs_f64());
+        }
+        let (crt_s, plain_s) = (best(crt_samples), best(plain_samples));
+        let crt_speedup = plain_s / crt_s.max(1e-12);
+        assert!(
+            crt_speedup >= 2.0,
+            "CRT decryption must be >= 2x the n² oracle, got {crt_speedup:.1}x"
+        );
+
         // CKKS: full-slot batches vs one value per ciphertext, same total
         // value count, so the gap is pure slot amortization.
         let params =
@@ -914,6 +949,10 @@ pub fn bench_selection(cfg: &ExpConfig) -> String {
              \x20   \"paillier_slow_per_value_us\": {:.3},\n\
              \x20   \"paillier_pooled_throughput_enc_per_sec\": {:.1},\n\
              \x20   \"paillier_pooled_speedup_vs_slow\": {:.2},\n\
+             \x20   \"paillier_decrypt_key_bits\": {decrypt_key_bits},\n\
+             \x20   \"paillier_crt_decrypt_per_ct_us\": {:.3},\n\
+             \x20   \"paillier_plain_decrypt_per_ct_us\": {:.3},\n\
+             \x20   \"paillier_crt_decrypt_speedup\": {:.2},\n\
              \x20   \"ckks_slots\": {ckks_slots},\n\
              \x20   \"ckks_values\": {ckks_n},\n\
              \x20   \"ckks_packed_per_value_us\": {:.3},\n\
@@ -924,6 +963,9 @@ pub fn bench_selection(cfg: &ExpConfig) -> String {
             per_value_us(slow_s, n_values),
             n_values as f64 / pooled_s.max(1e-12),
             paillier_speedup,
+            per_value_us(crt_s, cts.len()),
+            per_value_us(plain_s, cts.len()),
+            crt_speedup,
             per_value_us(ckks_packed_s, ckks_n),
             per_value_us(ckks_single_s, ckks_n),
             ckks_speedup,

@@ -315,6 +315,10 @@ impl Hub {
     /// [`SetupFrame`], waits for every [`ClusterMsg::Ready`], and starts
     /// the relay plane.
     ///
+    /// Every `Setup` goes out before the first `Ready` is awaited, so the
+    /// daemons generate their keys concurrently; the `Ready` frames are
+    /// then collected in slot order.
+    ///
     /// # Errors
     /// I/O error when a daemon cannot be reached within its connect
     /// budget, refuses the setup, or fails the `Ready` handshake.
@@ -336,8 +340,11 @@ impl Hub {
             stream.set_read_timeout(Some(opts.io_timeout))?;
             let setup = SetupFrame::for_slot(session, shuffle_seed, slot, scheme);
             write_frame(&mut &stream, &ClusterMsg::Setup(setup))?;
-            match read_frame::<_, ClusterMsg>(&mut &stream) {
-                Ok(Some(ClusterMsg::Ready { party_id })) if party_id == session.parties[slot] => {}
+            streams.push(stream);
+        }
+        for ((stream, addr), &party) in streams.iter().zip(addrs).zip(&session.parties) {
+            match read_frame::<_, ClusterMsg>(&mut &*stream) {
+                Ok(Some(ClusterMsg::Ready { party_id })) if party_id == party => {}
                 Ok(Some(ClusterMsg::Failed(ef))) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::InvalidData,
@@ -347,10 +354,7 @@ impl Hub {
                 Ok(other) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::InvalidData,
-                        format!(
-                            "{addr}: expected Ready for party {}, got {other:?}",
-                            session.parties[slot]
-                        ),
+                        format!("{addr}: expected Ready for party {party}, got {other:?}"),
                     ));
                 }
                 Err(e) => {
@@ -359,7 +363,6 @@ impl Hub {
                     )));
                 }
             }
-            streams.push(stream);
         }
 
         let (tx, rx) = unbounded();

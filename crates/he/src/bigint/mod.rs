@@ -5,7 +5,8 @@
 //! implementation targets the sizes Paillier needs (hundreds to a few
 //! thousand bits) and favours clarity plus solid asymptotics: schoolbook
 //! multiplication with a Karatsuba ramp, Knuth Algorithm D division, and
-//! square-and-multiply modular exponentiation.
+//! Montgomery (CIOS, fixed-window) modular exponentiation for odd moduli,
+//! with division-based square-and-multiply as the oracle.
 
 mod convert;
 mod div;

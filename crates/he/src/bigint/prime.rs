@@ -1,5 +1,6 @@
 //! Primality testing: trial division by small primes, then Miller–Rabin.
 
+use super::montgomery::MontgomeryCtx;
 use super::BigUint;
 use rand::Rng;
 
@@ -38,6 +39,9 @@ impl BigUint {
     }
 
     /// Miller–Rabin with `rounds` random bases. Assumes `self` is odd and > 3.
+    ///
+    /// One Montgomery context serves every witness round and the
+    /// squaring chain, which stays in Montgomery form throughout.
     fn miller_rabin<R: Rng + ?Sized>(&self, rng: &mut R, rounds: usize) -> bool {
         let one = Self::one();
         let n_minus_1 = self.sub(&one);
@@ -45,16 +49,21 @@ impl BigUint {
         let s = trailing_zeros(&n_minus_1);
         let d = n_minus_1.shr(s);
         let n_minus_2 = n_minus_1.sub(&one);
+        let ctx = MontgomeryCtx::new(self).expect("Miller–Rabin candidates are odd");
+        let one_m = ctx.to_mont(&one);
+        let minus_one_m = ctx.to_mont(&n_minus_1);
+        let mut sq = vec![0; one_m.len()];
 
         'witness: for _ in 0..rounds {
             let a = Self::random_range(rng, &Self::from_u64(2), &n_minus_2);
-            let mut x = a.mod_pow(&d, self);
-            if x.is_one() || x == n_minus_1 {
+            let mut x = ctx.pow_mont(&ctx.to_mont(&a), &d);
+            if x == one_m || x == minus_one_m {
                 continue;
             }
             for _ in 0..s.saturating_sub(1) {
-                x = x.square().rem(self);
-                if x == n_minus_1 {
+                ctx.mul_into(&x, &x, &mut sq);
+                std::mem::swap(&mut x, &mut sq);
+                if x == minus_one_m {
                     continue 'witness;
                 }
             }

@@ -7,8 +7,10 @@
 //! threshold.
 //!
 //! Implementation notes: `g = n + 1`, so encryption avoids a full
-//! exponentiation (`g^m = 1 + m·n mod n²`) and decryption uses
-//! `μ = λ⁻¹ mod n`.
+//! exponentiation (`g^m = 1 + m·n mod n²`). Decryption runs by CRT over
+//! `p²` and `q²`; [`PaillierPrivateKey::decrypt_plain`], the textbook
+//! `L(c^λ mod n²)·μ` with `μ = λ⁻¹ mod n`, is the oracle it is tested
+//! against.
 //!
 //! Encryption has two paths. [`PaillierPublicKey::encrypt`] is the slow
 //! reference: a fresh coprime `r` and a full `r.mod_pow(n, n²)` per call.
@@ -19,7 +21,7 @@
 //! down to ~`x_bits / 4` table products. Since `h^x = (r₀^x mod n)^n`, the
 //! result is ordinary Paillier randomness and decryption is bit-exact.
 
-use crate::bigint::montgomery::FixedBaseWindow;
+use crate::bigint::montgomery::{FixedBaseWindow, MontgomeryCtx};
 use crate::bigint::BigUint;
 use crate::error::{Error, Result};
 use rand::rngs::StdRng;
@@ -40,84 +42,85 @@ pub struct PaillierPublicKey {
 }
 
 /// Paillier private key: Carmichael `λ` and `μ = λ⁻¹ mod n`, plus the
-/// prime factorization enabling CRT-accelerated decryption.
+/// prime factorization that CRT decryption runs on.
 #[derive(Clone, Debug)]
 pub struct PaillierPrivateKey {
     lambda: BigUint,
     mu: BigUint,
     pk: PaillierPublicKey,
-    crt: Option<CrtParams>,
+    crt: CrtParams,
 }
 
-/// Precomputed Chinese-Remainder-Theorem parameters: decrypting modulo
-/// `p²` and `q²` separately and recombining replaces one `n²`-sized
-/// exponentiation with two quarter-cost ones — the standard ~4× Paillier
-/// decryption speedup.
+/// Precomputed Chinese-Remainder-Theorem parameters (Paillier 1999 §7):
+/// decrypting modulo `p²` and `q²` separately and recombining replaces
+/// one `|n|`-bit exponent modulo `n²` with two half-width exponents
+/// modulo quarter-width moduli, about a 4× saving in limb products.
 #[derive(Clone, Debug)]
 struct CrtParams {
-    p: BigUint,
-    q: BigUint,
-    p_squared: BigUint,
-    q_squared: BigUint,
-    /// `λ mod (p−1)` — exponent for the `p²` branch.
-    lambda_p: BigUint,
-    /// `λ mod (q−1)` — exponent for the `q²` branch.
-    lambda_q: BigUint,
-    /// `L_p(g^{λ_p} mod p²)^{-1} mod p` (with `g = n+1`).
-    h_p: BigUint,
-    /// `L_q(g^{λ_q} mod q²)^{-1} mod q`.
-    h_q: BigUint,
+    p: CrtBranch,
+    q: CrtBranch,
     /// `p^{-1} mod q` for the final recombination.
     p_inv_q: BigUint,
 }
 
+/// One prime `r` of the factorization and what decrypting modulo `r²`
+/// needs.
+#[derive(Clone, Debug)]
+struct CrtBranch {
+    r: BigUint,
+    /// `r − 1`, the branch's exponent.
+    r_minus_1: BigUint,
+    /// Montgomery context modulo `r²`, built once per key.
+    r_squared: MontgomeryCtx,
+    /// `L_r(g^{r−1} mod r²)^{-1} mod r` (with `g = n+1`).
+    h: BigUint,
+}
+
 impl CrtParams {
-    fn new(p: &BigUint, q: &BigUint, n: &BigUint, lambda: &BigUint) -> Option<CrtParams> {
-        let one = BigUint::one();
-        let p_squared = p.square();
-        let q_squared = q.square();
-        let lambda_p = lambda.rem(&p.sub(&one));
-        let lambda_q = lambda.rem(&q.sub(&one));
-        // g = n + 1; g^λp mod p² = 1 + (n mod p²)·λp· ... — compute directly.
-        let g = n.add(&one);
-        let l_p = |x: &BigUint| x.sub(&one).divrem(p).0;
-        let l_q = |x: &BigUint| x.sub(&one).divrem(q).0;
-        let hp_raw = l_p(&g.mod_pow(&lambda_p, &p_squared)).rem(p);
-        let hq_raw = l_q(&g.mod_pow(&lambda_q, &q_squared)).rem(q);
-        Some(CrtParams {
-            h_p: hp_raw.mod_inverse(p)?,
-            h_q: hq_raw.mod_inverse(q)?,
-            p_inv_q: p.mod_inverse(q)?,
-            p: p.clone(),
-            q: q.clone(),
-            p_squared,
-            q_squared,
-            lambda_p,
-            lambda_q,
-        })
+    /// Parameters for distinct odd primes `p ≠ q` with `n = p·q`.
+    fn new(p: &BigUint, q: &BigUint, n: &BigUint) -> CrtParams {
+        let g = n.add(&BigUint::one());
+        CrtParams {
+            p: CrtBranch::new(p, &g),
+            q: CrtBranch::new(q, &g),
+            p_inv_q: p.mod_inverse(q).expect("distinct primes are coprime"),
+        }
     }
 
     /// CRT decryption of ciphertext `c`.
     fn decrypt(&self, c: &BigUint) -> BigUint {
-        let one = BigUint::one();
-        // m_p = L_p(c^{λp} mod p²) · h_p mod p
-        let mp = c
-            .rem(&self.p_squared)
-            .mod_pow(&self.lambda_p, &self.p_squared)
-            .sub(&one)
-            .divrem(&self.p)
-            .0
-            .mul_mod(&self.h_p, &self.p);
-        let mq = c
-            .rem(&self.q_squared)
-            .mod_pow(&self.lambda_q, &self.q_squared)
-            .sub(&one)
-            .divrem(&self.q)
-            .0
-            .mul_mod(&self.h_q, &self.q);
+        let (mp, mq) = (self.p.residue(c), self.q.residue(c));
         // Garner recombination: m = m_p + p·((m_q − m_p)·p⁻¹ mod q).
-        let diff = mq.sub_mod(&mp, &self.q);
-        mp.add(&self.p.mul(&diff.mul_mod(&self.p_inv_q, &self.q)))
+        let (p, q) = (&self.p.r, &self.q.r);
+        let diff = mq.sub_mod(&mp, q);
+        mp.add(&p.mul(&diff.mul_mod(&self.p_inv_q, q)))
+    }
+}
+
+impl CrtBranch {
+    /// The branch for the odd prime factor `r` of `n`, with `g = n + 1`.
+    /// The inverse always exists: `L_r(g^{r−1} mod r²) ≡ −n/r (mod r)`,
+    /// a unit because the other prime is not `r`.
+    fn new(r: &BigUint, g: &BigUint) -> CrtBranch {
+        let r_squared = MontgomeryCtx::new(&r.square()).expect("odd prime, so r² is odd");
+        let r_minus_1 = r.sub(&BigUint::one());
+        // `h` comes from `l`, which needs the rest of the branch first.
+        let mut branch = CrtBranch { r: r.clone(), r_minus_1, r_squared, h: BigUint::one() };
+        branch.h = branch.l(g).mod_inverse(r).expect("L_r(g^(r-1)) is a unit for p != q");
+        branch
+    }
+
+    /// `L_r(x^{r−1} mod r²)` with `L_r(y) = (y − 1) / r`. `y − 1` wraps
+    /// modulo `r²`, so a ciphertext that shares a factor with `n`
+    /// decrypts to garbage instead of underflowing.
+    fn l(&self, x: &BigUint) -> BigUint {
+        let y = self.r_squared.mod_pow(x, &self.r_minus_1);
+        y.sub_mod(&BigUint::one(), self.r_squared.modulus()).divrem(&self.r).0
+    }
+
+    /// `m mod r = L_r(c^{r−1} mod r²) · h mod r`.
+    fn residue(&self, c: &BigUint) -> BigUint {
+        self.l(c).mul_mod(&self.h, &self.r)
     }
 }
 
@@ -181,7 +184,7 @@ pub fn generate_keypair<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> Result<Pai
         };
         let n_squared = n.square();
         let half_n = n.shr(1);
-        let crt = CrtParams::new(&p, &q, &n, &lambda);
+        let crt = CrtParams::new(&p, &q, &n);
         let pk = PaillierPublicKey { n, n_squared, half_n };
         return Ok(PaillierKeypair {
             private: PaillierPrivateKey { lambda, mu, pk: pk.clone(), crt },
@@ -283,14 +286,11 @@ impl PaillierPrivateKey {
         &self.pk
     }
 
-    /// Decrypts to the plaintext residue in `[0, n)` (CRT fast path when
-    /// the factorization is available).
+    /// Decrypts to the plaintext residue in `[0, n)` by CRT over `p²`
+    /// and `q²`.
     #[must_use]
     pub fn decrypt(&self, c: &PaillierCiphertext) -> BigUint {
-        match &self.crt {
-            Some(crt) => crt.decrypt(&c.0),
-            None => self.decrypt_plain(c),
-        }
+        self.crt.decrypt(&c.0)
     }
 
     /// Division-based decryption via the full `n²` exponentiation — the
@@ -477,8 +477,10 @@ impl NoisePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::OnceLock;
 
     fn keypair(bits: usize) -> PaillierKeypair {
         let mut rng = StdRng::seed_from_u64(42);
@@ -571,16 +573,118 @@ mod tests {
         assert!(matches!(kp.public.encrypt(&too_big, &mut rng), Err(Error::PlaintextOutOfRange)));
     }
 
-    #[test]
-    fn crt_decrypt_matches_plain_decrypt() {
-        let kp = keypair(256);
-        let mut rng = StdRng::seed_from_u64(10);
-        for _ in 0..20 {
-            let m = BigUint::random_below(&mut rng, kp.public.modulus());
-            let c = kp.public.encrypt(&m, &mut rng).unwrap();
-            assert_eq!(kp.private.decrypt(&c), kp.private.decrypt_plain(&c));
-            assert_eq!(kp.private.decrypt(&c), m);
+    /// One 256-bit key and fast encryptor shared by every property case.
+    fn shared() -> &'static (PaillierKeypair, PaillierEncryptor) {
+        static SHARED: OnceLock<(PaillierKeypair, PaillierEncryptor)> = OnceLock::new();
+        SHARED.get_or_init(|| {
+            let kp = keypair(256);
+            let enc = PaillierEncryptor::new(&kp.public, &mut StdRng::seed_from_u64(10));
+            (kp, enc)
+        })
+    }
+
+    /// CRT decryption of `c` equals the `n²` oracle and the expected value.
+    fn assert_crt_matches_plain(sk: &PaillierPrivateKey, c: &PaillierCiphertext, want: &BigUint) {
+        let crt = sk.decrypt(c);
+        assert_eq!(crt, sk.decrypt_plain(c), "CRT vs plain");
+        assert_eq!(&crt, want);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// CRT decryption agrees with the `n²` oracle on random
+        /// plaintexts, on fast-path ciphertexts and on homomorphic sums.
+        #[test]
+        fn crt_decrypt_matches_plain_decrypt(seed in any::<u64>(), noise in any::<u64>()) {
+            let (kp, enc) = shared();
+            let n = kp.public.modulus();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = BigUint::random_below(&mut rng, n);
+            let b = BigUint::random_below(&mut rng, n);
+            let ca = kp.public.encrypt(&a, &mut rng).unwrap();
+            let cb = enc.encrypt_seeded(&b, noise).unwrap();
+            let sum = kp.public.add(&ca, &cb);
+            assert_crt_matches_plain(&kp.private, &ca, &a);
+            assert_crt_matches_plain(&kp.private, &cb, &b);
+            assert_crt_matches_plain(&kp.private, &sum, &a.add_mod(&b, n));
         }
+    }
+
+    #[test]
+    fn keygen_always_builds_crt_params() {
+        for seed in 0..4 {
+            for bits in [256usize, 512] {
+                let kp = generate_keypair(&mut StdRng::seed_from_u64(seed), bits).unwrap();
+                let crt = &kp.private.crt;
+                assert_eq!(&crt.p.r.mul(&crt.q.r), kp.public.modulus(), "seed={seed} bits={bits}");
+                // h inverts L_r(g^(r-1) mod r²) modulo r in both branches.
+                let g = kp.public.modulus().add(&BigUint::one());
+                for branch in [&crt.p, &crt.q] {
+                    assert!(branch.residue(&g).is_one(), "seed={seed} bits={bits}");
+                }
+                let mut rng = StdRng::seed_from_u64(seed);
+                let m = BigUint::random_below(&mut rng, kp.public.modulus());
+                let c = kp.public.encrypt(&m, &mut rng).unwrap();
+                assert_eq!(
+                    crt.decrypt(&c.0),
+                    kp.private.decrypt_plain(&c),
+                    "seed={seed} bits={bits}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crt_decrypt_matches_plain_decrypt_at_2048_bits() {
+        let kp = generate_keypair(&mut StdRng::seed_from_u64(2048), 2048).unwrap();
+        let n = kp.public.modulus();
+        let mut rng = StdRng::seed_from_u64(7);
+        let enc = PaillierEncryptor::new(&kp.public, &mut rng);
+        let a = BigUint::random_below(&mut rng, n);
+        let b = BigUint::from_u64(u64::MAX);
+        let ca = kp.public.encrypt(&a, &mut rng).unwrap();
+        let cb = enc.encrypt_seeded(&b, 9).unwrap();
+        assert_crt_matches_plain(&kp.private, &ca, &a);
+        assert_crt_matches_plain(&kp.private, &cb, &b);
+        assert_crt_matches_plain(&kp.private, &kp.public.add(&ca, &cb), &a.add_mod(&b, n));
+    }
+
+    /// The same seed gives the same `(n, λ, μ)` and ciphertext bytes as the
+    /// division-based square-and-multiply kernel did, so no arithmetic
+    /// change can shift Miller–Rabin's RNG draws or any output.
+    #[test]
+    fn keys_and_ciphertexts_are_pinned_for_a_fixed_seed() {
+        let kp = keypair(256);
+        let hex = |v: &BigUint| v.to_hex();
+        assert_eq!(
+            hex(kp.public.modulus()),
+            "d44fd5abb9e3c5d5e1d0fbe52ae3b56203c40ddb0153391891e103e00bff0c25"
+        );
+        assert_eq!(
+            hex(&kp.private.lambda),
+            "6a27ead5dcf1e2eaf0e87df29571dab0189a0cef5f3c2e774479b00f6ea2f6a6"
+        );
+        assert_eq!(
+            hex(&kp.private.mu),
+            "8babd87f4848bab2bec1e77048169373d720873503899e5254033b2647004483"
+        );
+        let enc = PaillierEncryptor::new(&kp.public, &mut StdRng::seed_from_u64(11));
+        let fast = enc.encrypt_seeded(&BigUint::from_u64(314_159), 7).unwrap();
+        assert_eq!(
+            hex(fast.as_biguint()),
+            "49b86ff0a04587ab81fefd24361d2bf47444814bff7736f882dfb8c5ea24f5bb\
+             820abca8caa9cd5a09e572aff9c78df2561d49dcb3735b2405aa441423e50f8d"
+        );
+        let slow =
+            kp.public.encrypt(&BigUint::from_u64(271_828), &mut StdRng::seed_from_u64(3)).unwrap();
+        assert_eq!(
+            hex(slow.as_biguint()),
+            "5d86143e9e763167374d2adf4bdd6207aa381458fe4b0a13240807d166281eb9\
+             fe42e8b902e467ecf3ccc2ce40ec6e0b53c2d53f5e93d7dc2dd26929a50f3cfe"
+        );
+        assert_eq!(kp.private.decrypt(&fast).to_u64(), Some(314_159));
+        assert_eq!(kp.private.decrypt(&slow).to_u64(), Some(271_828));
     }
 
     #[test]
